@@ -687,18 +687,19 @@ class FarmJobResult:
     The default farm path returns bare :class:`PointMetrics` (schedules
     stay in the worker); the compile service needs the schedule itself to
     persist it, so ``CompileFarm.run(..., with_schedules=True)`` returns
-    these instead.  ``schedule`` is the canonical serialised dict
-    (:func:`repro.utils.serialization.schedule_to_dict` with
-    ``canonical=True``) — a plain JSON-compatible payload that crosses
-    process boundaries cheaply and is byte-stable across identical
-    compiles, which is what makes the content-addressed store testable.
+    these instead.  ``payload`` is the schedule's canonical bytes
+    (:func:`repro.utils.serialization.canonical_bytes`), encoded once in
+    the worker and never again: cheap to pickle, byte-stable across
+    identical compiles, and exactly what the store persists and the
+    service serves.  ``sha256`` is its hex digest.
     """
 
     failed: ClassVar[bool] = False
 
     metrics: PointMetrics
     router: str
-    schedule: dict[str, Any]
+    payload: bytes
+    sha256: str
     #: Worker-side trace records (populated when ``FarmOptions.trace`` is
     #: set; empty otherwise).  Volatile observability state — the service
     #: grafts these into its own tracer and never persists them.
@@ -925,16 +926,18 @@ def compile_farm_job(job: FarmJob, attempt: int = 0) -> PointMetrics:
 def compile_farm_job_with_schedule(job: FarmJob, attempt: int = 0) -> FarmJobResult:
     """Compile one grid cell and return metrics *plus* the canonical schedule.
 
-    The schedule is serialised to its canonical dict inside the worker, so
-    only JSON-compatible data crosses the process boundary.
+    The schedule's only encode happens here, so only bytes cross the
+    process boundary.
     """
-    from repro.utils.serialization import schedule_to_dict
+    from repro.utils.serialization import canonical_bytes, schedule_to_dict
 
     result, metrics, spans = _compile_job(job, attempt)
+    payload = canonical_bytes(schedule_to_dict(result.schedule, canonical=True))
     return FarmJobResult(
         metrics=metrics,
         router=result.router,
-        schedule=schedule_to_dict(result.schedule, canonical=True),
+        payload=payload,
+        sha256=hashlib.sha256(payload).hexdigest(),
         spans=spans or (),
     )
 
@@ -1100,7 +1103,7 @@ class CompileFarm:
         ``last_stats`` is populated once the iterator is exhausted.
 
         With ``with_schedules=True`` each successful result is a
-        :class:`FarmJobResult` carrying the canonical schedule dict.  A
+        :class:`FarmJobResult` carrying the canonical schedule bytes.  A
         job that exhausts the :class:`FarmPolicy` retry budget yields a
         :class:`FarmJobError` record in its slot instead of raising
         (check ``result.failed``); ``job_reports[index]`` carries the

@@ -58,9 +58,11 @@ overload chaos suite (``tests/test_overload.py``).
 
 from __future__ import annotations
 
+import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -99,7 +101,7 @@ from repro.service.queue import (
 )
 from repro.service.store import ScheduleStore, StoreEntry
 from repro.utils.faults import deterministic_draw
-from repro.utils.serialization import canonical_json, schedule_from_dict
+from repro.utils.serialization import schedule_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -114,7 +116,7 @@ DEFAULT_STREAM_CHUNK = 32
 #: Memory-tier size the service gives a store it constructs itself (pass
 #: ``memory_entries=None`` — or a ready-made :class:`ScheduleStore` — to
 #: opt out).  A serving process wants its hot head answered without disk
-#: I/O; 256 parsed entries is a few MB for typical schedules.
+#: I/O; an entry is its payload bytes (~250 KB for 100 q / 500 g).
 DEFAULT_MEMORY_ENTRIES = 256
 
 #: Circuit-breaker states.
@@ -230,21 +232,27 @@ class CircuitBreaker:
 
 @dataclass(frozen=True)
 class CompileResponse:
-    """What the service hands back for one resolved request."""
+    """What the service hands back for one resolved request: the worker's
+    canonical schedule bytes, parsed into ``schedule`` only on demand."""
 
     digest: str
     router: str
     metrics: PointMetrics
-    schedule: dict[str, Any]
+    payload: bytes
     source: str
 
     @property
     def cached(self) -> bool:
         return self.source == SOURCE_CACHE
 
+    @cached_property
+    def schedule(self) -> dict[str, Any]:
+        """The canonical schedule dict, parsed from ``payload`` once."""
+        return json.loads(self.payload)
+
     def schedule_json(self) -> str:
         """Canonical schedule JSON (byte-stable across cache and compile)."""
-        return canonical_json(self.schedule)
+        return self.payload.decode()
 
     def load_schedule(self) -> FPQASchedule:
         return schedule_from_dict(self.schedule)
@@ -255,7 +263,7 @@ class CompileResponse:
             digest=entry.digest,
             router=entry.router,
             metrics=entry.metrics,
-            schedule=entry.schedule,
+            payload=entry.payload,
             source=SOURCE_CACHE,
         )
 
@@ -265,7 +273,7 @@ class CompileResponse:
             digest=digest,
             router=result.router,
             metrics=result.metrics,
-            schedule=result.schedule,
+            payload=result.payload,
             source=SOURCE_COMPILED,
         )
 

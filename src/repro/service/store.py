@@ -20,23 +20,20 @@ refresh the disk entry's mtime, so disk LRU ranks entries by their last
 from disk and still be served, and falls back to a recompile only after
 it also ages out of memory.
 
-Entries can optionally be gzip-compressed on disk (``compress=True``) —
-reads sniff the two magic bytes, so compressed and uncompressed entries
-coexist in one root and old stores stay readable.  The entry schema is
-versioned: version-2 entries record their ``codec``; version-1 entries
-(pre-compression) are still parsed and are migrated in place on first
-read (rewritten at the current schema and the store's codec).
+An entry file (schema version 3) is one compact :func:`canonical_json`
+header line (digest, router, compact :class:`~repro.core.farm.PointMetrics`,
+``payload_sha256``, ``payload_bytes``, ``codec``), a ``\\n``, then the
+schedule payload verbatim: the canonical bytes the farm worker encoded
+once (:func:`repro.utils.serialization.canonical_bytes`), so a cached
+schedule is byte-identical to a fresh compile of the same job.  The store
+never re-encodes or parses a payload; a disk read decodes only the header.
+Entries can optionally be gzipped whole (``compress=True``); reads sniff
+the two magic bytes, so compressed and raw entries coexist in one root.
 
-Entries are canonical JSON (:func:`repro.utils.serialization.canonical_json`)
-wrapping the schedule's canonical dict, its compact
-:class:`~repro.core.farm.PointMetrics` and the router name.  Because the
-schedule payload is the *canonical* serialisation (volatile wall-clock
-metadata stripped, keys sorted), a cached schedule re-renders
-byte-identical to a fresh compile of the same job — the durability suite
-pins that.
-
-Reads are corruption-safe: a missing, truncated, garbled or
-wrong-schema entry is a *miss*, never a crash; the bad file is unlinked
+Reads are corruption-safe: a missing, truncated, garbled or older-schema
+entry (the store is a cache, so old schemas are not migrated), or one
+whose payload fails its header's length and sha256 check, is a *miss*,
+never a crash and never served; the bad file is unlinked
 (``missing_ok`` — a concurrent process repairing the same entry must not
 turn the repair into a crash) so the next compile rewrites it.  Writes
 are atomic (``tempfile`` + ``os.replace``), so a reader never observes a
@@ -53,13 +50,14 @@ off): ``fail-store-write`` makes :meth:`put` raise
 service's log-and-continue path) and ``corrupt-store-entry`` garbles the
 entry's bytes after a successful write (exercising the
 corruption-unlink repair on the next read).  Fault keys are the entry
-digests, and per-digest write attempts are counted so bounded rules
-(``max_fires``) stop firing once the fault has been exercised.
+digests; only while a plan is attached are per-digest write attempts
+counted, so bounded rules (``max_fires``) stop firing once exercised.
 """
 
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 import logging
 import os
@@ -87,12 +85,9 @@ from repro.utils.serialization import canonical_json, schedule_from_dict
 
 logger = logging.getLogger(__name__)
 
-_STORE_SCHEMA_VERSION = 2
-
-#: Schema versions :meth:`StoreEntry.from_dict` still parses.  Version 1
-#: predates compression (no ``codec`` field, always raw JSON); reading
-#: one migrates it in place to the current schema.
-_SUPPORTED_SCHEMA_VERSIONS = (1, _STORE_SCHEMA_VERSION)
+#: Version 3 is the header line + verbatim payload format; older entries
+#: (whole-file pretty JSON) read as misses.
+_STORE_SCHEMA_VERSION = 3
 
 _GZIP_MAGIC = b"\x1f\x8b"
 
@@ -110,8 +105,7 @@ class StoreStats:
     ``hits`` is the total across tiers; ``memory_hits`` + ``disk_hits``
     always equals it, so per-tier hit rates are first-class (the load
     benchmark's headline numbers).  ``evictions`` counts disk-tier LRU
-    evictions, ``memory_evictions`` the in-process tier's.  ``migrated``
-    counts legacy schema-version-1 entries rewritten on read.
+    evictions, ``memory_evictions`` the in-process tier's.
 
     Since the observability PR this dataclass is a *view*: the numbers
     live in the store's :class:`~repro.obs.metrics.MetricsRegistry`
@@ -127,7 +121,6 @@ class StoreStats:
     evictions: int = 0
     memory_evictions: int = 0
     corrupt: int = 0
-    migrated: int = 0
 
     @property
     def lookups(self) -> int:
@@ -158,7 +151,6 @@ class StoreStats:
             "evictions": self.evictions,
             "memory_evictions": self.memory_evictions,
             "corrupt": self.corrupt,
-            "migrated": self.migrated,
             "hit_rate": self.hit_rate,
             "memory_hit_rate": self.memory_hit_rate,
             "disk_hit_rate": self.disk_hit_rate,
@@ -167,21 +159,22 @@ class StoreStats:
 
 @dataclass(frozen=True)
 class StoreEntry:
-    """One cached compile: canonical schedule dict + metrics + router."""
+    """One cached compile: the worker's canonical schedule bytes (and their
+    sha256) + metrics + router."""
 
     digest: str
     router: str
     metrics: PointMetrics
-    schedule: dict[str, Any]
+    payload: bytes
+    sha256: str
 
     def schedule_json(self) -> str:
-        """The canonical schedule JSON — byte-identical to
-        ``schedule_to_json(schedule, canonical=True)`` of a fresh compile."""
-        return canonical_json(self.schedule)
+        """The canonical schedule JSON — the worker's bytes, decoded."""
+        return self.payload.decode()
 
     def load_schedule(self) -> FPQASchedule:
         """Rebuild the full :class:`FPQASchedule` object."""
-        return schedule_from_dict(self.schedule)
+        return schedule_from_dict(json.loads(self.payload))
 
     @classmethod
     def from_result(cls, digest: str, result: FarmJobResult) -> "StoreEntry":
@@ -189,36 +182,32 @@ class StoreEntry:
             digest=digest,
             router=result.router,
             metrics=result.metrics,
-            schedule=result.schedule,
+            payload=result.payload,
+            sha256=result.sha256,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": _STORE_SCHEMA_VERSION,
-            "digest": self.digest,
-            "router": self.router,
-            "metrics": self.metrics.to_dict(),
-            "schedule": self.schedule,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "StoreEntry":
-        """Parse an entry dict of any supported schema version.
-
-        Version 1 (pre-compression) lacks the ``codec`` field but is
-        otherwise identical; :meth:`ScheduleStore.get` migrates such
-        entries in place after a successful parse.
-        """
-        if data.get("schema_version") not in _SUPPORTED_SCHEMA_VERSIONS:
-            raise QPilotError(
-                f"unsupported store entry schema version {data.get('schema_version')!r}"
-            )
-        return cls(
-            digest=str(data["digest"]),
-            router=str(data["router"]),
-            metrics=PointMetrics.from_dict(data["metrics"]),
-            schedule=dict(data["schedule"]),
-        )
+def _parse_entry(digest: str, raw: bytes) -> StoreEntry:
+    """Parse one entry file's bytes (decoding only the header line), or
+    raise if it is not a sound current-schema entry for ``digest``."""
+    if raw[:2] == _GZIP_MAGIC:
+        raw = gzip.decompress(raw)
+    header_line, _, payload = raw.partition(b"\n")
+    header = json.loads(header_line)
+    if not isinstance(header, dict) or header.get("schema_version") != _STORE_SCHEMA_VERSION:
+        raise QPilotError("not a current-schema store entry")
+    if header["digest"] != digest:
+        raise QPilotError(f"store entry for {digest[:12]} has digest mismatch")
+    sha256 = header["payload_sha256"]
+    if header["payload_bytes"] != len(payload) or hashlib.sha256(payload).hexdigest() != sha256:
+        raise QPilotError(f"store entry for {digest[:12]} payload does not match its header")
+    return StoreEntry(
+        digest=digest,
+        router=str(header["router"]),
+        metrics=PointMetrics.from_dict(header["metrics"]),
+        payload=payload,
+        sha256=sha256,
+    )
 
 
 class ScheduleStore:
@@ -234,8 +223,8 @@ class ScheduleStore:
     between evictions, never corrupt.
 
     ``memory_entries`` turns on the in-process LRU front tier: the last N
-    distinct entries read or written are kept as parsed
-    :class:`StoreEntry` objects and served without touching the disk at
+    distinct entries read or written are kept as :class:`StoreEntry`
+    objects (payload bytes) and served without touching the disk at
     all.  ``compress=True`` gzips entry files on write (reads always
     sniff, so mixed roots work); the compressed bytes are deterministic
     (``mtime=0``), preserving write-once convergence between concurrent
@@ -277,13 +266,12 @@ class ScheduleStore:
         self._c_evictions = metric("store_evictions_total")
         self._c_memory_evictions = metric("store_memory_evictions_total")
         self._c_corrupt = metric("store_corrupt_total")
-        self._c_migrated = metric("store_migrated_total")
         # the memory tier: digest -> StoreEntry, most-recently-used last
         self._memory: "OrderedDict[str, StoreEntry]" = OrderedDict()
         # entry count, maintained incrementally so bounded-store writes
         # don't re-scan the whole tree; None until first needed
         self._count: int | None = None
-        # per-digest write/read attempts, so bounded fault rules stop firing
+        # per-digest write/read attempts (kept only with a fault plan)
         self._write_attempts: dict[str, int] = {}
         self._read_attempts: dict[str, int] = {}
 
@@ -302,7 +290,6 @@ class ScheduleStore:
             evictions=int(self._c_evictions.value),
             memory_evictions=int(self._c_memory_evictions.value),
             corrupt=int(self._c_corrupt.value),
-            migrated=int(self._c_migrated.value),
         )
 
     # -- addressing -----------------------------------------------------
@@ -352,11 +339,10 @@ class ScheduleStore:
         """Fetch an entry, or None on miss.
 
         The memory tier answers first — a memory hit performs zero disk
-        I/O.  Corrupted disk entries (truncated writes, garbled bytes,
-        wrong schema, digest mismatch) count as misses: the bad file is
-        removed and the caller recompiles, which rewrites a good entry.
-        Legacy schema-version-1 entries parse fine and are migrated in
-        place (rewritten at the current schema and codec).
+        I/O.  Unreadable disk entries (truncated, garbled, older schema,
+        digest mismatch, payload failing its header's length/sha256
+        check) count as misses: the bad file is removed and the caller
+        recompiles, which rewrites a good entry.
 
         A ``slow-store-read`` fault sleeps here before the lookup —
         *both* tiers — simulating a slow or contended disk so end-to-end
@@ -381,14 +367,7 @@ class ScheduleStore:
             self._c_misses.inc()
             return None
         try:
-            if raw[:2] == _GZIP_MAGIC:
-                text = gzip.decompress(raw).decode("utf-8")
-            else:
-                text = raw.decode("utf-8")
-            data = json.loads(text)
-            entry = StoreEntry.from_dict(data)
-            if entry.digest != digest:
-                raise QPilotError(f"store entry {path} digest mismatch")
+            entry = _parse_entry(digest, raw)
         except (
             ValueError,
             KeyError,
@@ -418,23 +397,7 @@ class ScheduleStore:
                     self._count -= 1
             return None
         self._c_disk_hits.inc()
-        if data.get("schema_version") != _STORE_SCHEMA_VERSION:
-            # migration-on-read: rewrite the legacy entry at the current
-            # schema (and this store's codec); the rewrite refreshes the
-            # mtime, doubling as the LRU touch
-            self._c_migrated.inc()
-            log_event(
-                logger,
-                "entry-migrated",
-                digest=digest[:12],
-                from_version=data.get("schema_version"),
-            )
-            try:
-                self._write_entry_file(path, entry)
-            except OSError:
-                self._touch(path)  # migration is best-effort, LRU is not
-        else:
-            self._touch(path)
+        self._touch(path)
         self._memory_store(digest, entry)
         return entry
 
@@ -448,14 +411,14 @@ class ScheduleStore:
         must stay up across a failed write — the compile service — catch
         and log instead of propagating.
         """
-        attempt = self._write_attempts.get(digest, 0)
-        self._write_attempts[digest] = attempt + 1
-        if self.faults is not None and self.faults.should_fire(
-            FAIL_STORE_WRITE, digest, attempt
-        ):
-            raise InjectedStoreWriteError(
-                f"injected store-write fault for {digest[:12]} (attempt {attempt})"
-            )
+        attempt = 0
+        if self.faults is not None:
+            attempt = self._write_attempts.get(digest, 0)
+            self._write_attempts[digest] = attempt + 1
+            if self.faults.should_fire(FAIL_STORE_WRITE, digest, attempt):
+                raise InjectedStoreWriteError(
+                    f"injected store-write fault for {digest[:12]} (attempt {attempt})"
+                )
         entry = StoreEntry.from_result(digest, result)
         path = self.path_for(digest)
         existed = path.exists()
@@ -479,21 +442,28 @@ class ScheduleStore:
         return entry
 
     def _write_entry_file(self, path: Path, entry: StoreEntry) -> None:
-        """Atomically write one entry file at the store's current codec."""
-        data = entry.to_dict()
-        data["codec"] = "gzip" if self.compress else "raw"
-        payload = (canonical_json(data) + "\n").encode("utf-8")
+        """Atomically write the header line, ``\\n`` and payload verbatim."""
+        header = {
+            "schema_version": _STORE_SCHEMA_VERSION,
+            "digest": entry.digest,
+            "router": entry.router,
+            "metrics": entry.metrics.to_dict(),
+            "payload_sha256": entry.sha256,
+            "payload_bytes": len(entry.payload),
+            "codec": "gzip" if self.compress else "raw",
+        }
+        blob = canonical_json(header, indent=None).encode() + b"\n" + entry.payload
         if self.compress:
             # mtime=0 keeps the compressed bytes deterministic, so
             # concurrent writers of one digest still converge bit-for-bit
-            payload = gzip.compress(payload, mtime=0)
+            blob = gzip.compress(blob, mtime=0)
         path.parent.mkdir(parents=True, exist_ok=True)
         handle, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{entry.digest[:8]}-", suffix=".tmp"
         )
         try:
             with os.fdopen(handle, "wb") as tmp:
-                tmp.write(payload)
+                tmp.write(blob)
             os.replace(tmp_name, path)
         except BaseException:
             try:

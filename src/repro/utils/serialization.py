@@ -46,6 +46,12 @@ def canonical_json(data: Any, *, indent: int | None = 2) -> str:
     return json.dumps(data, indent=indent, sort_keys=True)
 
 
+def canonical_bytes(data: Any) -> bytes:
+    """Compact canonical JSON bytes (sorted keys, no whitespace, C encoder):
+    the form a farm worker encodes each schedule in, exactly once."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
 def _gate_to_dict(gate: ScheduledGate) -> dict[str, Any]:
     return {
         "name": gate.name,

@@ -11,6 +11,7 @@ process pool is the fast path.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 
 import pytest
@@ -35,6 +36,13 @@ FAMILY_SPECS = [
     WorkloadSpec.qaoa_random_graph(16, 0.3, seed=33),
 ]
 WIDTHS = (4, 8, 16)
+
+
+def assert_same_payload(reference, pooled, name: str) -> None:
+    """Identical worker-encoded payload bytes, each carrying its own sha256."""
+    assert reference.payload == pooled.payload, name
+    for result in (reference, pooled):
+        assert result.sha256 == hashlib.sha256(result.payload).hexdigest(), name
 
 
 def deterministic_metrics(sweep):
@@ -250,8 +258,6 @@ class TestExecutorOracle:
     @pytest.mark.parametrize("executor", POOLED_EXECUTORS)
     def test_three_families_byte_identical_canonical_schedules(self, executor):
         """Schedules (not just metrics) are byte-identical across backends."""
-        from repro.utils.serialization import canonical_json
-
         jobs = [
             FarmJob(workload=spec, config=FPQAConfig.with_width(spec.num_qubits, 8))
             for spec in FAMILY_SPECS
@@ -259,7 +265,7 @@ class TestExecutorOracle:
         reference = CompileFarm("reference").run(jobs, with_schedules=True)
         pooled = CompileFarm(executor).run(jobs, with_schedules=True)
         for spec, ref, pool in zip(FAMILY_SPECS, reference, pooled):
-            assert canonical_json(ref.schedule) == canonical_json(pool.schedule), spec.name
+            assert_same_payload(ref, pool, spec.name)
             assert ref.router == pool.router
             assert ref.metrics.deterministic() == pool.metrics.deterministic()
 
@@ -267,7 +273,6 @@ class TestExecutorOracle:
     def test_untrusted_kinds_byte_identical_canonical_schedules(self, executor):
         """The PR 9 kinds (qasm, qec, molecule) honour the same oracle contract."""
         from repro.circuit import ghz_circuit, to_qasm
-        from repro.utils.serialization import canonical_json
 
         specs = [
             WorkloadSpec.qasm(to_qasm(ghz_circuit(6))),
@@ -281,7 +286,7 @@ class TestExecutorOracle:
         reference = CompileFarm("reference").run(jobs, with_schedules=True)
         pooled = CompileFarm(executor).run(jobs, with_schedules=True)
         for spec, ref, pool in zip(specs, reference, pooled):
-            assert canonical_json(ref.schedule) == canonical_json(pool.schedule), spec.name
+            assert_same_payload(ref, pool, spec.name)
             assert ref.router == pool.router
             assert ref.metrics.deterministic() == pool.metrics.deterministic()
 

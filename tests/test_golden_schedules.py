@@ -17,12 +17,19 @@ If a router change is *intentional*, refresh the files with
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.sim import verify_schedule_equivalence
-from repro.utils.serialization import schedule_from_json, schedule_to_json
+from repro.utils.serialization import (
+    canonical_bytes,
+    canonical_json,
+    schedule_from_json,
+    schedule_to_dict,
+    schedule_to_json,
+)
 
 _REGEN_PATH = Path(__file__).resolve().parent / "golden" / "regenerate.py"
 _spec = importlib.util.spec_from_file_location("golden_regenerate", _REGEN_PATH)
@@ -57,6 +64,14 @@ def test_canonical_serialisation_is_deterministic(name):
     first = schedule_to_json(schedule, canonical=True)
     second = schedule_to_json(golden.GOLDEN_CASES[name](), canonical=True)
     assert first == second
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_compact_payload_renders_to_golden_bytes(name):
+    """The compact worker payload and the pretty golden form are one
+    document: parsing the payload and re-rendering it gives the golden file."""
+    payload = canonical_bytes(schedule_to_dict(golden.GOLDEN_CASES[name](), canonical=True))
+    assert canonical_json(json.loads(payload)) + "\n" == golden.golden_path(name).read_text()
 
 
 def test_golden_qaoa_schedule_still_verifies():

@@ -25,7 +25,7 @@ from repro.service import (
 )
 from repro.service.cli import EXIT_INVALID_CIRCUIT
 from repro.service.cli import main as cli_main
-from repro.utils.serialization import schedule_to_json
+from repro.utils.serialization import canonical_bytes, schedule_to_dict
 
 #: One request per workload family, small enough for tier-1.
 FAMILY_REQUESTS = [
@@ -116,7 +116,9 @@ class TestCacheServing:
         service.compile(request)
         warm = service.compile(request)
         fresh = QPilotCompiler(request.config).compile_circuit(request.workload.build())
-        assert warm.schedule_json() == schedule_to_json(fresh.schedule, canonical=True)
+        expected = canonical_bytes(schedule_to_dict(fresh.schedule, canonical=True))
+        assert warm.payload == expected
+        assert warm.schedule_json() == expected.decode()
 
     def test_cache_survives_service_restart(self, tmp_path):
         request = FAMILY_REQUESTS[2]
@@ -509,13 +511,12 @@ class TestWarmFrom:
         service.farm.run = forbidden
         service.farm.iter_results = forbidden
         from repro.core.farm import compile_farm_job_with_schedule
-        from repro.utils.serialization import canonical_json
 
         for request in FAMILY_REQUESTS:
             response = service.compile(request)
             assert response.source == "cache"
             fresh = compile_farm_job_with_schedule(request.job())
-            assert response.schedule_json() == canonical_json(fresh.schedule)
+            assert response.payload == fresh.payload
 
     def test_warm_from_is_idempotent(self, tmp_path):
         sweep = self._sweep()

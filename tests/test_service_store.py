@@ -1,18 +1,20 @@
 """Schedule-store tests: addressing, durability, eviction, byte-stability.
 
-The load-bearing suites here are the durability one — corrupted,
-truncated or wrong-schema entries must read as cache *misses* (and be
-repaired by the next compile), never crash — and the byte-stability one:
-a schedule served from disk must render canonical JSON byte-identical to
-a fresh compile of the same job, which is what makes the cache
-semantically transparent (the golden-schedule guarantee extended through
-the store).
+The load-bearing suites here are the durability ones — corrupted,
+truncated, wrong-schema or payload-tampered entries must read as cache
+*misses* (and be repaired by the next compile), never crash and never be
+served — and the byte-stability one: a schedule served from disk must be
+byte-identical to the canonical encoding of a fresh compile of the same
+job, which is what makes the cache semantically transparent (the
+golden-schedule guarantee extended through the store).
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
+import re
 
 import pytest
 
@@ -20,10 +22,28 @@ from repro.core import CompileFarm, FarmJob, QPilotCompiler, WorkloadSpec
 from repro.core.farm import compile_farm_job_with_schedule
 from repro.exceptions import QPilotError
 from repro.hardware.fpqa import FPQAConfig
-from repro.service import ScheduleStore
-from repro.utils.serialization import schedule_to_json
+from repro.service import CompileRequest, CompileService, ScheduleStore
+from repro.service.store import _STORE_SCHEMA_VERSION
+from repro.utils.faults import FaultPlan
+from repro.utils.serialization import canonical_bytes, canonical_json, schedule_to_dict
 
 SPEC = WorkloadSpec.random_circuit(8, 3, seed=11)
+
+
+def fresh_bytes(job: FarmJob) -> bytes:
+    """Canonical bytes of a direct (farm-free, store-free) compile of ``job``."""
+    fresh = QPilotCompiler(job.config).compile_circuit(job.workload.build())
+    return canonical_bytes(schedule_to_dict(fresh.schedule, canonical=True))
+
+
+def read_entry(path) -> bytes:
+    """An entry file's bytes, gunzipped if the store compressed it."""
+    raw = path.read_bytes()
+    return gzip.decompress(raw) if raw[:2] == b"\x1f\x8b" else raw
+
+
+def write_entry(path, data: bytes, *, compress: bool) -> None:
+    path.write_bytes(gzip.compress(data, mtime=0) if compress else data)
 
 
 @pytest.fixture
@@ -47,7 +67,8 @@ class TestStoreBasics:
         assert entry.digest == digest
         assert entry.router == compiled.router
         assert entry.metrics == compiled.metrics
-        assert entry.schedule == compiled.schedule
+        assert entry.payload == compiled.payload
+        assert entry.sha256 == compiled.sha256
         assert store.stats.hits == 1 and store.stats.misses == 1
         assert store.stats.writes == 1
         assert store.stats.hit_rate == 0.5
@@ -154,8 +175,8 @@ class TestStoreByteStability:
         store = ScheduleStore(tmp_path)
         store.put(job.digest(), compiled)
         cached = store.get(job.digest())
-        fresh = QPilotCompiler(job.config).compile_circuit(SPEC.build())
-        assert cached.schedule_json() == schedule_to_json(fresh.schedule, canonical=True)
+        assert cached.payload == fresh_bytes(job)
+        assert cached.schedule_json() == fresh_bytes(job).decode()
 
     @pytest.mark.parametrize("executor", ("reference", "thread", "process"))
     def test_store_round_trip_is_byte_stable_across_executors(self, tmp_path, executor, job):
@@ -172,15 +193,23 @@ class TestStoreByteStability:
         assert first.schedule_json() == ScheduleStore(tmp_path / executor).get(
             job.digest()
         ).schedule_json()
+        assert first.payload == result.payload == fresh_bytes(job)
 
     def test_entry_file_is_canonical_json(self, tmp_path, job, compiled):
-        """The on-disk bytes themselves re-render canonically (sorted keys)."""
-        from repro.utils.serialization import canonical_json
-
+        """The entry file is a compact canonical header line, then the
+        worker's payload bytes verbatim."""
         store = ScheduleStore(tmp_path)
         store.put(job.digest(), compiled)
-        text = store.path_for(job.digest()).read_text()
-        assert text == canonical_json(json.loads(text)) + "\n"
+        header_line, newline, payload = store.path_for(job.digest()).read_bytes().partition(
+            b"\n"
+        )
+        assert newline and payload == compiled.payload
+        header = json.loads(header_line)
+        assert header_line == canonical_json(header, indent=None).encode()
+        assert header["schema_version"] == _STORE_SCHEMA_VERSION
+        assert header["payload_bytes"] == len(payload)
+        assert header["payload_sha256"] == compiled.sha256
+        assert payload == canonical_bytes(json.loads(payload))
 
 
 class TestStoreEviction:
@@ -277,8 +306,8 @@ class TestMemoryTier:
         assert entry is not None
         assert store.stats.memory_hits == 1 and store.stats.disk_hits == 0
         assert store.stats.memory_hit_rate == 1.0
-        fresh = QPilotCompiler(job.config).compile_circuit(SPEC.build())
-        assert entry.schedule_json() == schedule_to_json(fresh.schedule, canonical=True)
+        assert entry.payload is compiled.payload  # the worker's bytes, not a copy
+        assert entry.payload == fresh_bytes(job)
 
     def test_disk_read_populates_the_memory_tier(self, tmp_path, job, compiled, monkeypatch):
         writer = ScheduleStore(tmp_path)
@@ -330,8 +359,7 @@ class TestCompression:
         raw = store.path_for(digest).read_bytes()
         assert raw[:2] == b"\x1f\x8b", "entry file must actually be gzip"
         entry = ScheduleStore(tmp_path, compress=True).get(digest)
-        fresh = QPilotCompiler(job.config).compile_circuit(SPEC.build())
-        assert entry.schedule_json() == schedule_to_json(fresh.schedule, canonical=True)
+        assert entry.payload == fresh_bytes(job)
 
     def test_mixed_codecs_coexist_in_one_root(self, tmp_path):
         """A raw store reads gzip entries and vice versa (magic sniffing)."""
@@ -371,48 +399,109 @@ class TestCompression:
         )
 
 
-class TestSchemaMigration:
-    """Legacy schema-version-1 entries stay readable and migrate on read."""
+def _oracle_payload(job: FarmJob) -> bytes:
+    """The reference executor's payload for ``job`` (the differential oracle)."""
+    return CompileFarm("reference").run([job], with_schedules=True)[0].payload
 
-    def _write_v1(self, store: ScheduleStore, digest: str, compiled) -> None:
-        from repro.service.store import StoreEntry
-        from repro.utils.serialization import canonical_json
 
-        data = StoreEntry.from_result(digest, compiled).to_dict()
-        data["schema_version"] = 1
-        data.pop("codec", None)  # v1 predates the codec field
+CODECS = pytest.mark.parametrize("compress", (False, True), ids=("raw", "gzip"))
+
+
+class TestOldSchema:
+    """The store is a cache: entries of an older schema are misses, not migrations."""
+
+    def _write_v2(self, store: ScheduleStore, digest: str, compiled, compress: bool) -> None:
+        """A schema-2 entry: one pretty canonical JSON document, schedule inline."""
+        data = {
+            "schema_version": 2,
+            "codec": "gzip" if compress else "raw",
+            "digest": digest,
+            "router": compiled.router,
+            "metrics": compiled.metrics.to_dict(),
+            "schedule": json.loads(compiled.payload),
+        }
         path = store.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(canonical_json(data) + "\n")
+        write_entry(path, (canonical_json(data) + "\n").encode(), compress=compress)
 
-    @pytest.mark.parametrize("compress", (False, True), ids=("raw", "gzip"))
-    def test_v1_entry_is_served_and_migrated_in_place(
+    @CODECS
+    def test_schema_2_entry_is_a_miss_then_recompiled(
         self, tmp_path, job, compiled, compress
     ):
         store = ScheduleStore(tmp_path, compress=compress)
         digest = job.digest()
-        self._write_v1(store, digest, compiled)
-        entry = store.get(digest)
-        assert entry is not None
-        assert store.stats.migrated == 1
-        assert store.stats.corrupt == 0
-        # the file on disk is now a current-schema entry at this store's codec
-        raw = store.path_for(digest).read_bytes()
-        if compress:
-            import gzip
+        self._write_v2(store, digest, compiled, compress)
+        assert store.get(digest) is None
+        assert store.stats.misses == 1 and store.stats.hits == 0
+        assert not store.path_for(digest).exists()
+        # a service that meets the old entry recompiles and rewrites it
+        self._write_v2(store, digest, compiled, compress)
+        service = CompileService(store, executor="reference")
+        response = service.compile(CompileRequest(workload=job.workload, config=job.config))
+        assert response.source == "compiled"
+        assert response.payload == _oracle_payload(job)
+        header = json.loads(read_entry(store.path_for(digest)).partition(b"\n")[0])
+        assert header["schema_version"] == _STORE_SCHEMA_VERSION
+        assert ScheduleStore(tmp_path).get(digest).payload == response.payload
 
-            assert raw[:2] == b"\x1f\x8b"
-            raw = gzip.decompress(raw)
-        rewritten = json.loads(raw.decode("utf-8"))
-        assert rewritten["schema_version"] == 2
-        assert rewritten["codec"] == ("gzip" if compress else "raw")
-        # and the served schedule is still the golden bytes
-        fresh = QPilotCompiler(job.config).compile_circuit(SPEC.build())
-        assert entry.schedule_json() == schedule_to_json(fresh.schedule, canonical=True)
-        # a later reader sees a current entry: no second migration
-        again = ScheduleStore(tmp_path, compress=compress)
-        assert again.get(digest) is not None
-        assert again.stats.migrated == 0
+
+def _flip_float_digit(payload: bytes) -> bytes:
+    """Change one fractional digit of the first float: still valid JSON."""
+    match = re.search(rb"\d\.(\d)", payload)
+    assert match is not None
+    at = match.start(1)
+    flipped = b"1" if payload[at : at + 1] != b"1" else b"2"
+    return payload[:at] + flipped + payload[at + 1 :]
+
+
+def _with_header(header: dict, payload: bytes) -> bytes:
+    return canonical_json(header, indent=None).encode() + b"\n" + payload
+
+
+class TestPayloadIntegrity:
+    """A payload that does not match its header's length and sha256 is
+    never served: the read is a miss, counted corrupt, and the file is
+    unlinked so the next compile repairs it with the oracle bytes."""
+
+    MUTATIONS = {
+        # same length, still parseable: only the sha256 catches it
+        "flipped-float-digit": lambda header, payload: _with_header(
+            header, _flip_float_digit(payload)
+        ),
+        "truncated-payload": lambda header, payload: _with_header(
+            header, payload[: len(payload) // 2]
+        ),
+        # header claims one byte more than the payload holds
+        "length-mismatch": lambda header, payload: _with_header(
+            {**header, "payload_bytes": header["payload_bytes"] + 1}, payload
+        ),
+    }
+
+    @CODECS
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_tampered_payload_is_a_corrupt_miss_then_recompiled(
+        self, tmp_path, job, compress, mutation
+    ):
+        request = CompileRequest(workload=job.workload, config=job.config)
+        service = CompileService(tmp_path, executor="reference", memory_entries=None)
+        store = service.store
+        oracle = _oracle_payload(job)
+        assert service.compile(request).payload == oracle
+        path = store.path_for(job.digest())
+        header_line, _, payload = read_entry(path).partition(b"\n")
+        tampered = self.MUTATIONS[mutation](json.loads(header_line), payload)
+        if mutation == "flipped-float-digit":
+            assert json.loads(tampered.partition(b"\n")[2]) != json.loads(payload)
+        write_entry(path, tampered, compress=compress)
+
+        assert store.get(job.digest()) is None
+        assert service.metrics_dict()["store_corrupt_total"] == 1
+        assert store.stats.hits == 0  # the tampered bytes were never served
+        assert not path.exists()
+        response = service.compile(request)
+        assert response.source == "compiled"
+        assert response.payload == oracle
+        assert ScheduleStore(tmp_path).get(job.digest()).payload == oracle
 
 
 class TestCountConsistency:
@@ -443,9 +532,20 @@ class TestCountConsistency:
         """Regression: clear() kept per-digest write-attempt counters, so a
         long-lived daemon leaked them (and bounded fault rules stayed
         spent across what should be a fresh epoch)."""
-        store = ScheduleStore(tmp_path)
+        plan = FaultPlan.single("fail-store-write", match="no-such-digest")
+        store = ScheduleStore(tmp_path, faults=plan)
         digest = job.digest()
         store.put(digest, compiled)
         assert store._write_attempts  # populated by the put
         store.clear()
+        assert store._write_attempts == {}
+
+    def test_puts_without_a_fault_plan_track_no_attempts(self, tmp_path, compiled):
+        """Regression: every put recorded a write attempt even with no fault
+        plan attached, so a long-lived service grew one ledger entry per
+        digest it had ever written."""
+        store = ScheduleStore(tmp_path)
+        for index in range(50):
+            store.put(f"{index:040x}", compiled)
+        assert len(store) == 50
         assert store._write_attempts == {}
